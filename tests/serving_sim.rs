@@ -1132,6 +1132,317 @@ fn launch_failure_rolls_back_and_over_capacity_is_rejected_cleanly() {
     assert_eq!(scheduler.kv_used_pages(), 0);
 }
 
+/// What a failed tick must leave exactly as it found it.
+fn rollback_snapshot(s: &Scheduler<'_, f64>) -> [u64; 8] {
+    [
+        s.kv_used_pages() as u64,
+        s.kv_used_tokens() as u64,
+        s.swap_parked_bytes() as u64,
+        s.pending_len() as u64,
+        s.parked_len() as u64,
+        s.in_flight_len() as u64,
+        s.preemption_events(),
+        s.now(),
+    ]
+}
+
+/// A tick's outcome with the outputs flattened to comparable values.
+type TickTrace = (
+    u64,
+    Vec<u64>,
+    Vec<u64>,
+    Vec<u64>,
+    usize,
+    usize,
+    Vec<(u64, u64, u32, Vec<f64>)>,
+);
+
+/// Tick `s` until idle, recording every report.
+fn drain_reports(s: &mut Scheduler<'_, f64>) -> Vec<TickTrace> {
+    let ids = |v: &[graph_attention::serve::RequestId]| v.iter().map(|id| id.as_u64()).collect();
+    let mut out = Vec::new();
+    for _ in 0..256 {
+        if s.is_idle() {
+            return out;
+        }
+        let r = s.tick().unwrap();
+        s.assert_kv_invariants();
+        out.push((
+            r.tick,
+            ids(&r.admitted),
+            ids(&r.resumed),
+            ids(&r.preempted),
+            r.launches,
+            r.rows_computed,
+            r.completed
+                .iter()
+                .map(|c| {
+                    (
+                        c.id.as_u64(),
+                        c.completed,
+                        c.preemptions,
+                        c.output.as_slice().to_vec(),
+                    )
+                })
+                .collect(),
+        ));
+    }
+    panic!("not drained after 256 ticks");
+}
+
+/// Invariant 5 with preemption in the failed tick: the tick evicts a
+/// victim to fund an append and then fails a launch. Under both eviction
+/// modes the victim must come back in place (its cache, its in-flight
+/// position, its arena bytes), and every counter a tick moves must be
+/// restored. After the offender is cancelled, the run must drain exactly
+/// like a control run that cancelled the offender before the failed tick
+/// — same admissions, evictions, resumes and completion order — and
+/// bitwise equal to the sequential references.
+#[test]
+fn a_failed_tick_un_preempts_its_victims_in_place_in_both_eviction_modes() {
+    for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
+        let config = ServeConfig {
+            max_in_flight: 4,
+            kv_pages: 6,
+            page_size: 2,
+            arrival_window: 0,
+            prefill_chunk: 2,
+            admission: AdmissionMode::PagedUsage,
+            eviction,
+            swap_bytes: usize::MAX,
+        };
+        let mut runs = Vec::new();
+        for fail_first in [true, false] {
+            let mut s: Scheduler<'static, f64> =
+                Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
+            let healthy = s
+                .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
+                .unwrap();
+            // Pinned to the offender's 6-token prompt: its prefill chunks
+            // run, its first decode row (7 keys) cannot.
+            let globals: &'static GlobalSet = Box::leak(Box::new(GlobalSet::new(6, vec![0])));
+            let pinned = s
+                .register_plan(
+                    AttentionPlan::single(AttentionKernel::Global { globals, n_sub: 0 }).unwrap(),
+                )
+                .unwrap();
+            let request = |plan, priority, prompt, total, seed| {
+                let (q, k, v) = init::qkv::<f64>(total, 4, seed);
+                graph_attention::serve::ServeRequest {
+                    pattern: PatternChoice::from(plan),
+                    priority,
+                    prompt,
+                    q,
+                    k,
+                    v,
+                }
+            };
+            // b, c and a in submission order; a arrives at tick 2.
+            let healthy_requests = [
+                request(healthy, 1, 2, 5, 91),
+                request(healthy, 2, 2, 8, 92),
+                request(healthy, 0, 2, 3, 93),
+            ];
+            let x = s.submit(request(pinned, 0, 6, 7, 90)).unwrap();
+            let b = s.submit(healthy_requests[0].clone()).unwrap();
+            let c = s.submit(healthy_requests[1].clone()).unwrap();
+            // Tick 0 admits x, b and c into 5 of the 6 pages; at tick 1
+            // the decode appends of b and c need a page each and only c's
+            // eviction funds b's.
+            assert_eq!(s.tick().unwrap().admitted, vec![x, b, c]);
+            assert_eq!(s.tick().unwrap().preempted, vec![c]);
+            let a = s.submit(healthy_requests[2].clone()).unwrap();
+            assert_eq!(s.tick().unwrap().admitted, vec![a], "in flight: x, b, a");
+            s.assert_kv_invariants();
+            if eviction == EvictionMode::Swap {
+                assert!(s.swap_parked_bytes() > 0, "c sits in the arena");
+            }
+            // Tick 3: x, b and a each need a page, so b — the least urgent,
+            // in the middle of the in-flight list — is evicted to fund
+            // them, and then x's first decode launch fails. Retrying fails
+            // the same way.
+            if fail_first {
+                let before = rollback_snapshot(&s);
+                let peak_before = s.swap_peak_bytes();
+                for _ in 0..2 {
+                    let err = s.tick().unwrap_err();
+                    let ServeError::Launch { request, .. } = err else {
+                        panic!("{eviction:?}: expected a launch failure, got {err:?}");
+                    };
+                    assert_eq!(request, Some(x), "{eviction:?}: the offender is named");
+                    assert_eq!(
+                        rollback_snapshot(&s),
+                        before,
+                        "{eviction:?}: a failed tick with a preemption leaves no trace"
+                    );
+                    s.assert_kv_invariants();
+                }
+                if eviction == EvictionMode::Swap {
+                    assert!(
+                        s.swap_peak_bytes() > peak_before,
+                        "the failed tick parked b in the arena before rolling back"
+                    );
+                }
+            }
+            assert!(s.cancel(x));
+            let reports = drain_reports(&mut s);
+            // b and a both finish on the next tick, and a tick retires in
+            // in-flight order: b first only if it came back in place.
+            let first: Vec<u64> = reports[0].6.iter().map(|done| done.0).collect();
+            assert_eq!(
+                first,
+                vec![b.as_u64(), a.as_u64()],
+                "{eviction:?}: the victim keeps its in-flight position"
+            );
+            let ids = [b, c, a];
+            for (id, r) in ids.iter().zip(&healthy_requests) {
+                let (_, _, _, out) = reports
+                    .iter()
+                    .flat_map(|t| &t.6)
+                    .find(|done| done.0 == id.as_u64())
+                    .expect("every survivor completes");
+                let want =
+                    sequential_reference(s.engine(), s.plan(healthy), r, config.prefill_chunk)
+                        .unwrap();
+                assert_eq!(out.as_slice(), want.as_slice(), "{eviction:?}: bitwise");
+            }
+            assert_eq!(s.kv_used_pages(), 0);
+            assert_eq!(s.swap_parked_bytes(), 0);
+            runs.push(reports);
+        }
+        assert_eq!(
+            runs[0], runs[1],
+            "{eviction:?}: the failed ticks must leave the schedule untouched"
+        );
+    }
+}
+
+/// Invariant 5 for decoder stacks: a tick that resumes a parked model
+/// sequence and admits a model request fails on a later model's launch.
+/// Every layer of every stack the earlier, successful model launch
+/// appended to must be truncated back, the resumed sequence must park
+/// again with its computed caches intact, and the admitted request must
+/// return to the front of its queue, ahead of the request held behind it.
+#[test]
+fn a_failed_tick_truncates_every_layer_and_un_admits_model_requests() {
+    let config = ServeConfig {
+        max_in_flight: 4,
+        kv_pages: 14,
+        page_size: 2,
+        arrival_window: 0,
+        prefill_chunk: 4,
+        admission: AdmissionMode::PagedUsage,
+        eviction: EvictionMode::Recompute,
+        swap_bytes: usize::MAX,
+    };
+    let mut runs = Vec::new();
+    for fail_first in [true, false] {
+        let mut s: Scheduler<'static, f64> =
+            Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
+        // Registered first, so its launches run before the failing model's.
+        let healthy = s.register_model(
+            DecoderModel::new(
+                LayerPattern::parse("FSF").unwrap(),
+                vec![
+                    (
+                        'F',
+                        AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap(),
+                    ),
+                    (
+                        'S',
+                        AttentionPlan::single(AttentionKernel::Dilated1d { w: 3, r: 2 }).unwrap(),
+                    ),
+                ],
+                12,
+                3,
+                4,
+                0x5EED,
+            )
+            .unwrap(),
+        );
+        // A layer pinned to the offender's 2-token prompt: its prefill
+        // runs, its first decode row cannot.
+        let globals: &'static GlobalSet = Box::leak(Box::new(GlobalSet::new(2, vec![0])));
+        let pinned = s.register_model(
+            DecoderModel::new(
+                LayerPattern::parse("G").unwrap(),
+                vec![(
+                    'G',
+                    AttentionPlan::single(AttentionKernel::Global { globals, n_sub: 0 }).unwrap(),
+                )],
+                8,
+                2,
+                4,
+                0xBAD,
+            )
+            .unwrap(),
+        );
+        let request = |model, priority, prompt, total, width, seed| ModelRequest {
+            model,
+            priority,
+            prompt,
+            x: init::gaussian_matrix(total, width, 1.0, seed),
+        };
+        let h_req = request(healthy, 0, 2, 4, 12, 71);
+        let p_req = request(healthy, 1, 4, 6, 12, 72);
+        let r_req = request(healthy, 1, 2, 3, 12, 73);
+        let s_req = request(healthy, 1, 2, 3, 12, 74);
+        let h = s.submit_model(h_req.clone()).unwrap();
+        let p = s.submit_model(p_req.clone()).unwrap();
+        assert_eq!(s.tick().unwrap().admitted, vec![h, p]);
+        // Both first decode rows need 3 pages; only h's fit, so p parks
+        // with its 3 layers of 4 tokens held inline.
+        assert_eq!(s.tick().unwrap().preempted, vec![p]);
+        let x = s.submit_model(request(pinned, 0, 2, 4, 8, 75)).unwrap();
+        let report = s.tick().unwrap();
+        assert_eq!(report.admitted, vec![x], "p cannot resume yet");
+        assert_eq!(report.completed.len(), 1, "h finishes, freeing its pages");
+        let r = s.submit_model(r_req.clone()).unwrap();
+        let s_id = s.submit_model(s_req.clone()).unwrap();
+        // Tick 3 resumes p and admits r (the pool has no room for s), runs
+        // both through the healthy stack, which appends to all 3 layers of
+        // each, and then x's first decode row fails.
+        if fail_first {
+            let before = rollback_snapshot(&s);
+            let err = s.tick().unwrap_err();
+            let ServeError::Launch { request, .. } = err else {
+                panic!("expected a launch failure, got {err:?}");
+            };
+            assert_eq!(request, Some(x), "the offender is named");
+            assert_eq!(
+                rollback_snapshot(&s),
+                before,
+                "every layer truncated, p parked again, r un-admitted, the clock still"
+            );
+            s.assert_kv_invariants();
+        }
+        assert!(s.cancel(x));
+        let reports = drain_reports(&mut s);
+        assert_eq!(
+            (reports[0].1.clone(), reports[0].2.clone()),
+            (vec![r.as_u64()], vec![p.as_u64()]),
+            "p resumes, then r is admitted from the queue front, ahead of s"
+        );
+        for (id, req) in [(p, &p_req), (r, &r_req), (s_id, &s_req)] {
+            let (_, _, _, out) = reports
+                .iter()
+                .flat_map(|t| &t.6)
+                .find(|done| done.0 == id.as_u64())
+                .expect("every survivor completes");
+            let want =
+                sequential_model_reference(s.engine(), s.model(healthy), req, config.prefill_chunk)
+                    .unwrap();
+            assert_eq!(out.as_slice(), want.as_slice(), "bitwise");
+        }
+        assert_eq!(s.kv_used_pages(), 0);
+        runs.push(reports);
+    }
+    assert_eq!(
+        runs[0], runs[1],
+        "the failed tick must leave the schedule untouched"
+    );
+}
+
 /// Mixed plan + model traces: randomized seeded workloads drawing both
 /// bare-plan sequences and decoder-stack sequences (single-layer and
 /// 3-layer heterogeneous models) through one scheduler and one page pool —
