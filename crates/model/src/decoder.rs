@@ -20,7 +20,7 @@
 use crate::error::ModelError;
 use crate::pattern::LayerPattern;
 use gpa_core::batch::AttentionRequest;
-use gpa_core::pages::{PagePool, SeqId, SwapArena, SwapTicket};
+use gpa_core::pages::{PagePool, SeqId};
 use gpa_core::{AttentionEngine, AttentionPlan, KvCache, MultiHeadAttention, ProjectedHeads};
 use gpa_tensor::{Matrix, Real};
 
@@ -441,6 +441,9 @@ pub struct ModelAdvance<T: Real> {
 ///
 /// All layers always hold the same number of cached tokens; a model
 /// advance appends to every layer, and rollback truncates every layer.
+/// A bare attention plan's cache is the depth-one case
+/// ([`ModelKvState::single`]), which is how a serving scheduler can treat
+/// plan and model sequences alike.
 #[derive(Debug)]
 pub struct ModelKvState {
     seqs: Vec<SeqId>,
@@ -454,6 +457,15 @@ impl ModelKvState {
             .map(|_| pool.allocate_heads(model.heads(), model.dk(), model.dk()))
             .collect();
         ModelKvState { seqs }
+    }
+
+    /// Allocate an empty one-layer, one-head stack with `dk`-wide keys and
+    /// `dv`-wide values: the cache of a bare attention plan, which is a
+    /// decoder stack of depth one. Takes no pages.
+    pub fn single<T: Real>(dk: usize, dv: usize, pool: &mut PagePool<T>) -> Self {
+        ModelKvState {
+            seqs: vec![pool.allocate(dk, dv)],
+        }
     }
 
     /// Re-adopt retained per-layer caches (the resume path after an
@@ -485,42 +497,6 @@ impl ModelKvState {
     /// intact) in layer order — what an evicted sequence retains.
     pub fn release<T: Real>(self, pool: &mut PagePool<T>) -> Vec<KvCache<T>> {
         self.seqs.into_iter().map(|id| pool.release(id)).collect()
-    }
-
-    /// Park the whole stack in a [`SwapArena`]: release every layer's
-    /// pages to the pool and move the caches — K/V rows, f16 payloads,
-    /// routing state — into the arena as one entry. `O(1)` in context
-    /// length; the evict-and-swap half of preemption.
-    ///
-    /// The pages are returned to the pool unconditionally. When the arena
-    /// refuses the stack (byte cap), the caches come back untouched in
-    /// layer order and the caller keeps them inline or drops them
-    /// (evict-and-recompute).
-    pub fn swap_out<T: Real>(
-        self,
-        pool: &mut PagePool<T>,
-        arena: &mut SwapArena<T>,
-    ) -> Result<SwapTicket, Vec<KvCache<T>>> {
-        arena.try_park(self.release(pool))
-    }
-
-    /// Resume a parked stack: take it from the arena and re-adopt every
-    /// layer's pages atomically. When the pool cannot cover the whole
-    /// stack, nothing is adopted and the stack is **re-parked** — the
-    /// returned ticket replaces the spent one, and the sequence simply
-    /// stays parked. (Re-parking cannot fail: the stack's bytes were just
-    /// freed by the take.)
-    pub fn swap_in<T: Real>(
-        ticket: SwapTicket,
-        arena: &mut SwapArena<T>,
-        pool: &mut PagePool<T>,
-    ) -> Result<Self, SwapTicket> {
-        match Self::adopt(arena.take(ticket), pool) {
-            Ok(state) => Ok(state),
-            Err(caches) => Err(arena
-                .try_park(caches)
-                .unwrap_or_else(|_| panic!("re-park into just-freed arena bytes"))),
-        }
     }
 
     /// Truncate every layer back to `tokens` cached tokens, returning
@@ -910,7 +886,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_out_and_in_round_trip_is_bitwise_and_stays_parked_under_pressure() {
+    fn adopt_from_the_swap_arena_is_all_or_nothing_and_resumes_bitwise() {
         let e = engine();
         let m = model(&e, "FS", 6);
         let mut pool: PagePool<f64> = PagePool::new(4, 2);
@@ -919,32 +895,41 @@ mod tests {
         let x = gaussian_matrix(3, 12, 1.0, 8);
         m.advance_batched(&e, &mut pool, &[ModelWorkItem { x: &x, state: &st }])
             .unwrap();
-        // Park: pages free, bytes move to the arena.
-        let ticket = st.swap_out(&mut pool, &mut arena).expect("unbounded arena");
+        let layer_keys: Vec<Matrix<f64>> = st
+            .layer_seqs()
+            .iter()
+            .map(|&seq| pool.cache(seq).k(0).clone())
+            .collect();
+        // Park: pages free, bytes move to the arena as one entry.
+        let ticket = arena
+            .try_park(st.release(&mut pool))
+            .expect("unbounded arena");
         assert_eq!(pool.free_pages(), 4);
         assert_eq!(arena.parked_tokens(), 6, "3 tokens x 2 layers");
         arena.assert_swap_invariants();
-        pool.assert_page_invariants();
-        // A squatter leaves room for only one layer: swap_in must adopt
-        // nothing and re-park the stack under a fresh ticket.
+        // A squatter leaves room for only one layer: the adopt must map
+        // nothing and hand back every layer, in order and intact.
         let squat = pool.allocate(2, 2);
         assert!(pool.try_extend(
             squat,
             &gaussian_matrix(3, 2, 1.0, 1),
             &gaussian_matrix(3, 2, 1.0, 2)
         ));
-        let ticket = match ModelKvState::swap_in(ticket, &mut arena, &mut pool) {
-            Err(reparked) => reparked,
-            Ok(_) => panic!("swap_in must fail under page pressure"),
+        let free = pool.free_pages();
+        let caches = match ModelKvState::adopt(arena.take(ticket), &mut pool) {
+            Err(caches) => caches,
+            Ok(_) => panic!("adopt must fail under page pressure"),
         };
-        assert_eq!(arena.len(), 1, "the stack stays parked");
-        assert_eq!(arena.parked_tokens(), 6);
-        arena.assert_swap_invariants();
+        assert_eq!(pool.free_pages(), free, "no layer stays adopted");
+        assert_eq!(pool.len(), 1, "only the squatter is live");
+        let returned: Vec<&Matrix<f64>> = caches.iter().map(|c| c.k(0)).collect();
+        assert_eq!(returned, layer_keys.iter().collect::<Vec<_>>());
         pool.assert_page_invariants();
-        // Squatter gone → the splice succeeds and decodes bitwise vs a
-        // never-evicted run.
+        // The refused stack parks again; with the squatter gone the splice
+        // succeeds and decodes bitwise vs a never-evicted run.
+        let ticket = arena.try_park(caches).expect("unbounded arena");
         pool.release(squat);
-        let resumed = ModelKvState::swap_in(ticket, &mut arena, &mut pool).expect("pages are free");
+        let resumed = ModelKvState::adopt(arena.take(ticket), &mut pool).expect("pages are free");
         assert!(arena.is_empty());
         assert_eq!(arena.parked_bytes(), 0);
         assert_eq!(resumed.tokens(&pool), 3);

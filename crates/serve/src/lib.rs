@@ -31,16 +31,18 @@
 //! list, the scheduler **preempts** the lowest-priority, most-recently
 //! admitted sequence — its pages are released and it parks on a resume
 //! queue, continuing when pages free up. How its cache comes back is the
-//! [`EvictionMode`]: **Recompute** (the default) re-extends the retained
-//! K/V rows into a fresh cache, `O(context)` per resume but with zero
-//! memory held while parked; **Swap** moves the evicted cache into a
-//! host-side [`gpa_core::SwapArena`] and splices it back in `O(1)`,
-//! holding the parked bytes (capped by [`ServeConfig::swap_bytes`]) in
-//! exchange. Either way preempted-and-resumed sequences complete
-//! **bitwise equal** to their uninterrupted runs — the modes never
-//! differ in results or schedule — and the most urgent sequence is never
-//! evicted, so the pool cannot livelock; `docs/SERVING.md` has the full
-//! preemption/resume state machine.
+//! [`EvictionMode`]: **Recompute** (the default) re-extends a plan
+//! sequence's retained K/V rows into a fresh cache, `O(context)` per
+//! resume but with no cache held while parked; **Swap** moves the evicted
+//! cache into a host-side [`gpa_core::SwapArena`] and splices it back in
+//! `O(1)`, holding the parked bytes in the arena in exchange. The arena's
+//! cap ([`ServeConfig::swap_bytes`]) bounds the arena only: a decoder-model
+//! stack parked under Recompute, or refused by a full arena, is held
+//! inline in host memory outside it. Either way preempted-and-resumed
+//! sequences complete **bitwise equal** to their uninterrupted runs — the
+//! modes never differ in results or schedule — and the most urgent
+//! sequence is never evicted, so the pool cannot livelock;
+//! `docs/SERVING.md` has the full preemption/resume state machine.
 //!
 //! Everything is deterministic: time is a tick counter, admission order is
 //! a pure function of (priority, submission order, fit), and batched
@@ -122,10 +124,14 @@
 //! of a bare plan ([`Scheduler::register_model`] +
 //! [`Scheduler::submit_model`]): the sequence's embedding rows run through
 //! the model's whole layer stack — heterogeneous Full/Sparse plans per
-//! layer — with one KV cache per layer, every page of which is counted by
+//! layer — with one KV cache per layer. The scheduler keeps one kind of
+//! sequence for both: its KV is a [`gpa_model::ModelKvState`] stack, and
+//! a bare-plan sequence is simply a one-layer, one-head stack whose K/V
+//! rows are its own inputs. So every page of every layer is counted by
 //! the same admission, preemption, and rollback arithmetic (an `L`-layer
-//! sequence bills `L ×` the pages of a plan sequence of the same length).
-//! Preempted model sequences keep their per-layer caches intact and
+//! sequence bills `L ×` the pages of a plan sequence of the same length),
+//! and there is one park/resume path. Preempted model sequences keep
+//! their per-layer caches intact (inline or in the swap arena) and
 //! re-adopt them on resume, so completions remain bitwise equal to
 //! [`sequential_model_reference`]. `examples/model_serving.rs` serves a
 //! 12-layer bookend stack under page pressure.

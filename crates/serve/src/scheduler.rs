@@ -1,8 +1,8 @@
 //! The continuous-batching scheduler.
 //!
 //! One [`Scheduler`] owns an [`AttentionEngine`], a set of registered
-//! [`AttentionPlan`]s and [`DecoderModel`]s, per-priority pending queues,
-//! and a block-paged [`PagePool`] of per-sequence KV caches. Time is a
+//! [`AttentionPlan`]s and [`DecoderModel`]s, per-priority queues, and a
+//! block-paged [`PagePool`] of per-sequence KV caches. Time is a
 //! **virtual clock** of ticks: every [`Scheduler::tick`] admits what fits,
 //! then flattens *all* runnable work — each prefilling sequence's next
 //! chunk of query rows plus each decoding sequence's next token row —
@@ -11,18 +11,22 @@
 //! mixed-geometry batch shape the engine's [`gpa_core::Geometry`] windows
 //! exist for.
 //!
-//! ## Plan sequences and model sequences
+//! ## One kind of sequence
 //!
 //! A request targets either a bare plan ([`Scheduler::submit`] — explicit
 //! q/k/v rows through one attention kernel) or a registered decoder model
 //! ([`Scheduler::submit_model`] — embedding rows through an N-layer stack
 //! of [`gpa_core::MultiHeadAttention`] layers with heterogeneous plans).
-//! Both flavors share the queues, the page pool, and the tick: model
-//! sequences group by model and advance through
-//! [`DecoderModel::advance_batched`] (one launch per layer, all sequences
-//! × heads flattened), and every page of every layer's cache is counted
-//! by the same admission and preemption arithmetic — an `L`-layer
-//! sequence bills `L ×` the pages of a plan sequence of the same length.
+//! Inside the scheduler both are the same sequence: a cursor over its
+//! input rows plus a KV stack of pooled caches ([`ModelKvState`]). A
+//! plan sequence is a one-layer, one-head stack whose K/V rows are the
+//! request's own inputs; a model sequence's stack has one cache per layer,
+//! filled by [`DecoderModel::advance_batched`] (one launch per layer, all
+//! sequences × heads flattened). Pending, in-flight and parked sequences
+//! share the queues, the page pool, the tick, and one park/resume path,
+//! and every page of every layer is counted by the same arithmetic — an
+//! `L`-layer sequence bills `L ×` the pages of a plan sequence of the
+//! same length.
 //!
 //! ## Admission policy
 //!
@@ -36,20 +40,23 @@
 //!   admission (no overtaking), which is what makes admission
 //!   starvation-free for any request that can ever fit;
 //! - **Paged KV** ([`AdmissionMode::PagedUsage`], the default): a
-//!   sequence is admitted on its *current* page need — the pages its
-//!   prompt occupies right now — not its worst case, so short prompts
-//!   with long decode budgets pack the pool instead of reserving it. The
-//!   pages this tick's appends are about to consume (decode K/V rows, and
-//!   every layer of each model sequence's next prefill chunk) are held
+//!   sequence is admitted on its *current* page need, not its worst case,
+//!   so short prompts with long decode budgets pack the pool instead of
+//!   reserving it. Admission, resume and each tick's appends are all
+//!   charged by one rule: `layers × pages_for(tokens cached after the
+//!   sequence's next unit of work)`, less the pages it already holds. A
+//!   plan sequence caches its whole prompt at admission (its prefill rows
+//!   see the whole prompt); a model sequence caches its prompt chunk by
+//!   chunk. The pages this tick's appends are about to consume are held
 //!   back from admission, so newcomers can never take a page out from
 //!   under a running sequence within the tick. A request whose *total*
 //!   page need exceeds the whole pool is rejected at submission, before
 //!   any cache exists for it.
 //! - **Worst-case reservation** ([`AdmissionMode::WorstCaseReserve`]):
 //!   the legacy policy, kept for A/B comparison — admission reserves
-//!   `pages_for(prompt + decode)` (× layers for models) up front in a
-//!   ledger, so an admitted sequence can always grow to completion and
-//!   preemption never fires.
+//!   `layers × pages_for(prompt + decode)` up front in a ledger, so an
+//!   admitted sequence can always grow to completion and preemption never
+//!   fires.
 //!
 //! ## Preemption
 //!
@@ -58,41 +65,39 @@
 //! walking sequences from most urgent (lowest priority class, earliest
 //! admission) to least, it grants each append by evicting victims from
 //! the opposite end — the lowest-priority, most-recently admitted
-//! sequence first. What happens to a victim's cache is the
-//! [`EvictionMode`]:
+//! sequence first. A victim's pages always go back to the pool; what
+//! happens to its KV stack is the [`EvictionMode`]:
 //!
-//! - **Recompute** (the default): a plan victim's pages are released and
-//!   its cache dropped — resume re-extends the retained
-//!   `prompt + generated` K/V rows bit-identically, since they are
-//!   deterministic inputs. A model victim's per-layer caches hold
-//!   *computed* K/V the scheduler cannot cheaply rebuild, so they are
-//!   taken out of the pool whole and re-adopted — all layers or none —
-//!   on resume.
-//! - **Swap**: the victim's whole cache stack moves into a host-side
-//!   [`gpa_core::SwapArena`] (pages released all the same) and resume
-//!   splices it back via [`gpa_core::PagePool::try_adopt`] — `O(1)` in
-//!   context length instead of `O(context)`. The arena's byte cap
-//!   ([`ServeConfig::swap_bytes`]) bounds host memory; a victim that
-//!   does not fit falls back to the Recompute behavior for that park.
+//! - **Recompute** (the default): a plan victim's cache is dropped —
+//!   resume rebuilds it from the retained `prompt + generated` K/V rows
+//!   bit-identically, since they are deterministic inputs. A model
+//!   victim's per-layer caches hold *computed* K/V the scheduler cannot
+//!   cheaply rebuild, so they are held inline, outside the pool, and
+//!   re-adopted — all layers or none — on resume.
+//! - **Swap**: the victim's whole stack moves into a host-side
+//!   [`gpa_core::SwapArena`] and resume splices it back via
+//!   [`ModelKvState::adopt`] — `O(1)` in context length instead of
+//!   `O(context)`. The arena's byte cap ([`ServeConfig::swap_bytes`])
+//!   bounds the arena only: a victim that does not fit falls back to the
+//!   Recompute behavior for that park, so a refused model stack is held
+//!   inline outside the cap.
 //!
-//! Either way the victim parks on its class's resume queue with its
-//! computed output rows and phase cursor, and continues exactly where it
-//! stopped, so every completed output is still **bitwise** the
-//! sequential reference — the modes differ in resume *cost*, never in
-//! results or schedule (both use the same page arithmetic). The most
-//! urgent in-flight sequence is never evicted and always advances, so
-//! preemption cannot livelock.
+//! Either way the victim parks on its class's queue with its computed
+//! output rows and cursor, and continues exactly where it stopped, so
+//! every completed output is still **bitwise** the sequential reference —
+//! the modes differ in resume *cost*, never in results or schedule (both
+//! use the same page arithmetic). The most urgent in-flight sequence is
+//! never evicted and always advances, so preemption cannot livelock.
 //!
 //! ## Failure atomicity
 //!
 //! A tick either applies completely or not at all: if any launch fails,
-//! every append is rolled back — each plan sequence's cache and every
-//! layer of each model sequence's state truncated to its pre-tick length
-//! (pages returned) — this tick's preemptions are **un-preempted**
-//! (victims rebuilt in place, page tables and queue positions restored),
-//! this tick's admissions are **un-admitted** (pages released, requests
-//! returned to their queue fronts in order), cursors do not advance, and
-//! the virtual clock does not move — a failed tick leaves no trace. The
+//! every layer of every surviving sequence's stack is truncated to its
+//! pre-tick length (pages returned), this tick's preemptions are
+//! **un-preempted** (victims resumed in place, queue positions restored),
+//! this tick's admissions are **un-admitted** (pages released, sequences
+//! returned to their queues in order), cursors do not advance, and the
+//! virtual clock does not move — a failed tick leaves no trace. The
 //! returned [`crate::ServeError::Launch`] names the offending request
 //! when its geometry provably cannot run under its plan (or under any
 //! layer of its model), so the caller can [`Scheduler::cancel`] it and
@@ -105,8 +110,8 @@ use crate::request::{
     TickReport,
 };
 use gpa_core::{
-    AttentionEngine, AttentionPlan, AttentionRequest, AttnError, KvCache, PagePool, RoutedSpec,
-    SeqId, SwapArena, SwapTicket,
+    AttentionEngine, AttentionPlan, AttentionRequest, AttnError, KvCache, PagePool, SwapArena,
+    SwapTicket,
 };
 use gpa_model::{DecoderModel, ModelError, ModelKvState, ModelWorkItem};
 use gpa_tensor::{Matrix, Real};
@@ -184,16 +189,19 @@ pub enum AdmissionMode {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvictionMode {
     /// Drop a plan victim's cache and re-extend its retained K/V input
-    /// rows on resume (model victims always retain their computed caches
-    /// inline). Resume cost grows with context length; no arena memory.
-    /// The default.
+    /// rows on resume; resume cost grows with context length. Uses no
+    /// arena, but a model victim's computed per-layer caches are still
+    /// held in host memory, inline and uncapped, until it resumes. The
+    /// default.
     #[default]
     Recompute,
     /// Park the victim's caches in a host-side [`SwapArena`] and splice
     /// them back on resume — `O(1)` in context length, at the cost of
-    /// holding the parked bytes (capped by [`ServeConfig::swap_bytes`]).
-    /// A victim the arena cannot hold falls back to the `Recompute`
-    /// behavior for that park, counted by [`Scheduler::swap_fallbacks`].
+    /// holding the parked bytes in the arena (capped by
+    /// [`ServeConfig::swap_bytes`]). A victim the arena cannot hold falls
+    /// back to the `Recompute` behavior for that park, counted by
+    /// [`Scheduler::swap_fallbacks`]; a refused model stack is then held
+    /// inline, outside the cap.
     Swap,
 }
 
@@ -220,7 +228,9 @@ pub struct ServeConfig {
     /// Byte cap of the host-side [`SwapArena`] under
     /// [`EvictionMode::Swap`] (unused — but harmless — under
     /// `Recompute`). A victim that would push the arena past this cap
-    /// falls back to recompute for that park.
+    /// falls back to recompute for that park. The cap bounds the arena
+    /// only: model stacks parked inline (under `Recompute`, or refused by
+    /// the arena) are held outside it.
     pub swap_bytes: usize,
 }
 
@@ -241,354 +251,103 @@ impl Default for ServeConfig {
     }
 }
 
-/// A queued request of either flavor.
-enum AnyRequest<T> {
-    Attn(ServeRequest<T>),
-    Model(ModelRequest<T>),
-}
-
-struct Pending<T> {
-    id: RequestId,
-    submitted: u64,
-    request: AnyRequest<T>,
-}
-
-#[derive(Clone, Copy)]
-enum Phase {
-    /// `done` prompt rows computed so far.
-    Prefill { done: usize },
-    /// `done` tokens decoded so far.
-    Decode { done: usize },
-}
-
-/// Tokens the sequence's cache holds at this phase cursor — what a
-/// preempted sequence must have resident again to resume. A plan
-/// sequence's whole prompt is cached at admission; a model sequence's
-/// per-layer caches grow chunk by chunk inside the layer advance, so
-/// mid-prefill they hold exactly `done` tokens.
-fn cursor_tokens(phase: Phase, prompt: usize, model: bool) -> usize {
-    match phase {
-        Phase::Prefill { done } => {
-            if model {
-                done
-            } else {
-                prompt
-            }
-        }
-        Phase::Decode { done } => prompt + done,
-    }
-}
-
-/// Target-specific in-flight state: the request's owned inputs plus its
-/// live KV (one pooled cache for a plan sequence; one per layer for a
-/// model sequence).
-enum Payload<T> {
-    Attn {
-        /// The resolved plan index — fixed for the sequence's lifetime
-        /// once admission resolves `pattern`.
+/// What a sequence runs on.
+enum Source<T> {
+    /// A bare plan: a one-layer, one-head stack whose K/V rows are the
+    /// request's own `k`/`v` inputs.
+    Plan {
+        /// The plan index, resolved from `pattern` at each fresh
+        /// admission and fixed from then on.
         plan: usize,
-        /// The choice as submitted, kept so an un-admitted request goes
+        /// The choice as submitted, kept so an un-admitted sequence goes
         /// back to its queue unresolved.
         pattern: PatternChoice,
-        seq: SeqId,
-        q: Matrix<T>,
         k: Matrix<T>,
         v: Matrix<T>,
     },
-    Model {
-        model: usize,
-        x: Matrix<T>,
-        state: ModelKvState,
-    },
+    /// A registered decoder model, whose layer advance computes the K/V
+    /// rows of every layer.
+    Model(usize),
 }
 
-struct InFlight<T> {
+/// Where a sequence's KV stack lives.
+enum Kv<T> {
+    /// No cache: not yet admitted, or a plan sequence's cache dropped at
+    /// park. Entering the pool builds it from the sequence's own K/V rows.
+    Empty,
+    /// Mapped into the page pool: the sequence is in flight.
+    Pooled(ModelKvState),
+    /// Parked in the scheduler's [`SwapArena`].
+    Swapped(SwapTicket),
+    /// A parked model stack held outside the pool and the arena.
+    Inline(Vec<KvCache<T>>),
+}
+
+/// A pending, in-flight or parked sequence.
+struct Seq<T> {
     id: RequestId,
     priority: u8,
     prompt: usize,
-    phase: Phase,
-    out: Matrix<T>,
+    /// Input rows processed so far: prefill while `pos < prompt`, then
+    /// one decode row per tick until `pos == total`.
+    pos: usize,
     submitted: u64,
     /// First admission tick — preemption does not reset it.
     admitted: u64,
-    /// Times this sequence has been preempted so far.
+    /// Times this sequence has been preempted so far; nonzero exactly
+    /// for sequences that have been admitted and parked.
     preemptions: u32,
     /// Pages reserved in the ledger ([`AdmissionMode::WorstCaseReserve`]
     /// only; 0 under paged admission).
     reserved_pages: usize,
-    payload: Payload<T>,
+    source: Source<T>,
+    /// Query-side input rows: `q` of a plan sequence, the embeddings `x`
+    /// of a model sequence.
+    x: Matrix<T>,
+    /// Output rows; zero rows (of the output width) until admission.
+    out: Matrix<T>,
+    kv: Kv<T>,
 }
 
-impl<T: Real> InFlight<T> {
+impl<T: Real> Seq<T> {
     fn total(&self) -> usize {
-        match &self.payload {
-            Payload::Attn { q, .. } => q.rows(),
-            Payload::Model { x, .. } => x.rows(),
+        self.x.rows()
+    }
+
+    /// Rows the next unit of work processes: a prefill chunk, or one
+    /// decode row.
+    fn next_rows(&self, chunk: usize) -> usize {
+        if self.pos < self.prompt {
+            chunk.min(self.prompt - self.pos)
+        } else {
+            1
+        }
+    }
+
+    /// Tokens the sequence's caches hold once its first `pos` rows are
+    /// processed. A plan sequence caches its whole prompt at admission; a
+    /// model sequence's caches grow with every processed row.
+    fn cached_at(&self, pos: usize) -> usize {
+        match self.source {
+            Source::Plan { .. } => pos.max(self.prompt),
+            Source::Model(_) => pos,
         }
     }
 
     fn target(&self) -> ServeTarget {
-        match &self.payload {
-            Payload::Attn { plan, .. } => ServeTarget::Plan(PlanId(*plan)),
-            Payload::Model { model, .. } => ServeTarget::Model(ModelId(*model)),
+        match self.source {
+            Source::Plan { plan, .. } => ServeTarget::Plan(PlanId(plan)),
+            Source::Model(model) => ServeTarget::Model(ModelId(model)),
         }
     }
 
-    fn is_complete(&self) -> bool {
-        match self.phase {
-            Phase::Prefill { .. } => false,
-            Phase::Decode { done } => self.prompt + done == self.total(),
+    /// The pooled stack of an in-flight sequence.
+    fn stack(&self) -> &ModelKvState {
+        match &self.kv {
+            Kv::Pooled(state) => state,
+            _ => panic!("only in-flight sequences hold pooled caches"),
         }
     }
-
-    /// Evict this sequence's KV from the pool (pages always come back to
-    /// the free list; the victim's computed output rows are always kept).
-    /// What happens to the cache itself depends on `mode`:
-    ///
-    /// - [`EvictionMode::Recompute`]: a plan sequence's cache is dropped
-    ///   (its K/V rows are inputs the resume path re-extends
-    ///   bit-identically); a model sequence's per-layer caches hold
-    ///   *computed* K/V, so they are retained inline and re-adopted on
-    ///   resume.
-    /// - [`EvictionMode::Swap`]: the cache stack parks in the host-side
-    ///   [`SwapArena`] and resume splices it back, `O(1)` in context
-    ///   length. When the arena's byte cap refuses the stack, the park
-    ///   falls back to the `Recompute` behavior — parking never fails.
-    fn park(
-        self,
-        pool: &mut PagePool<T>,
-        arena: &mut SwapArena<T>,
-        mode: EvictionMode,
-    ) -> Parked<T> {
-        let payload = match self.payload {
-            Payload::Attn {
-                plan,
-                pattern,
-                seq,
-                q,
-                k,
-                v,
-            } => {
-                let cache = pool.release(seq);
-                let kv = match mode {
-                    EvictionMode::Recompute => ParkedKv::Dropped,
-                    EvictionMode::Swap => match arena.try_park(vec![cache]) {
-                        Ok(ticket) => ParkedKv::Swapped(ticket),
-                        Err(_) => ParkedKv::Dropped,
-                    },
-                };
-                ParkedPayload::Attn {
-                    plan,
-                    pattern,
-                    q,
-                    k,
-                    v,
-                    kv,
-                }
-            }
-            Payload::Model { model, x, state } => {
-                let caches = state.release(pool);
-                let kv = match mode {
-                    EvictionMode::Recompute => ParkedKv::Inline(caches),
-                    EvictionMode::Swap => match arena.try_park(caches) {
-                        Ok(ticket) => ParkedKv::Swapped(ticket),
-                        Err(caches) => ParkedKv::Inline(caches),
-                    },
-                };
-                ParkedPayload::Model { model, x, kv }
-            }
-        };
-        Parked {
-            id: self.id,
-            priority: self.priority,
-            prompt: self.prompt,
-            phase: self.phase,
-            out: self.out,
-            submitted: self.submitted,
-            admitted: self.admitted,
-            preemptions: self.preemptions,
-            payload,
-        }
-    }
-}
-
-/// Where a parked sequence's KV lives while it waits to resume.
-enum ParkedKv<T> {
-    /// Dropped at park; resume re-extends the retained input rows (plan
-    /// sequences only — their K/V rows are deterministic inputs).
-    Dropped,
-    /// Parked in the scheduler's [`SwapArena`]; resume takes the stack
-    /// and re-adopts its pages, `O(1)` in context length.
-    Swapped(SwapTicket),
-    /// Retained inline (model sequences under [`EvictionMode::Recompute`],
-    /// or as the fallback when the arena refuses the stack).
-    Inline(Vec<KvCache<T>>),
-}
-
-/// Target-specific parked state — see [`InFlight::park`] for which
-/// [`ParkedKv`] variants each target uses.
-enum ParkedPayload<T> {
-    Attn {
-        plan: usize,
-        pattern: PatternChoice,
-        q: Matrix<T>,
-        k: Matrix<T>,
-        v: Matrix<T>,
-        kv: ParkedKv<T>,
-    },
-    Model {
-        model: usize,
-        x: Matrix<T>,
-        kv: ParkedKv<T>,
-    },
-}
-
-/// A preempted sequence waiting on a resume queue: everything needed to
-/// repopulate the pool and continue — computed output rows included, so
-/// no row is ever computed twice.
-struct Parked<T> {
-    id: RequestId,
-    priority: u8,
-    prompt: usize,
-    phase: Phase,
-    out: Matrix<T>,
-    submitted: u64,
-    admitted: u64,
-    preemptions: u32,
-    payload: ParkedPayload<T>,
-}
-
-impl<T: Real> Parked<T> {
-    /// Tokens that must be resident again for this sequence to continue.
-    fn retained_tokens(&self) -> usize {
-        cursor_tokens(
-            self.phase,
-            self.prompt,
-            matches!(self.payload, ParkedPayload::Model { .. }),
-        )
-    }
-
-    /// True when this sequence's KV sits in the [`SwapArena`].
-    fn is_swapped(&self) -> bool {
-        matches!(
-            self.payload,
-            ParkedPayload::Attn {
-                kv: ParkedKv::Swapped(_),
-                ..
-            } | ParkedPayload::Model {
-                kv: ParkedKv::Swapped(_),
-                ..
-            }
-        )
-    }
-
-    /// The arena ticket, when this sequence's KV sits in the arena.
-    fn swap_ticket(&self) -> Option<SwapTicket> {
-        match &self.payload {
-            ParkedPayload::Attn {
-                kv: ParkedKv::Swapped(t),
-                ..
-            }
-            | ParkedPayload::Model {
-                kv: ParkedKv::Swapped(t),
-                ..
-            } => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// Re-admit: splice a swapped cache stack back out of the arena
-    /// (routing state rides the caches), rebuild a dropped plan cache
-    /// from its retained input rows, or re-adopt inline model caches.
-    /// `spec` is the resolved plan's routing spec for a rebuilt plan
-    /// sequence — routing is a pure function of the retained query rows,
-    /// so the rebuilt cache re-adopts exactly the grouping it was evicted
-    /// with. The caller granted the pages (both modes need the same page
-    /// count for the same retained tokens), so failure here is a
-    /// scheduler bug.
-    fn resume(
-        self,
-        pool: &mut PagePool<T>,
-        arena: &mut SwapArena<T>,
-        spec: Option<RoutedSpec>,
-    ) -> InFlight<T> {
-        let tokens = self.retained_tokens();
-        let payload = match self.payload {
-            ParkedPayload::Attn {
-                plan,
-                pattern,
-                q,
-                k,
-                v,
-                kv,
-            } => {
-                let seq = match kv {
-                    ParkedKv::Dropped => {
-                        let seq = pool.allocate(q.cols(), v.cols());
-                        let ok = pool.try_extend(
-                            seq,
-                            &k.rows_slice(0, tokens),
-                            &v.rows_slice(0, tokens),
-                        );
-                        assert!(ok, "resume was granted its pages");
-                        if let Some(spec) = spec {
-                            pool.extend_routing(seq, spec, 0, &q.rows_slice(0, tokens))
-                                .expect("a fresh cache adopts its plan's routing spec");
-                        }
-                        seq
-                    }
-                    ParkedKv::Swapped(ticket) => {
-                        let mut stack = arena.take(ticket);
-                        assert_eq!(stack.len(), 1, "a plan sequence parks one cache");
-                        let Ok(seq) = pool.try_adopt(stack.pop().expect("one cache")) else {
-                            panic!("resume was granted its pages");
-                        };
-                        seq
-                    }
-                    ParkedKv::Inline(_) => unreachable!("plan sequences never park inline"),
-                };
-                Payload::Attn {
-                    plan,
-                    pattern,
-                    seq,
-                    q,
-                    k,
-                    v,
-                }
-            }
-            ParkedPayload::Model { model, x, kv } => {
-                let caches = match kv {
-                    ParkedKv::Swapped(ticket) => arena.take(ticket),
-                    ParkedKv::Inline(caches) => caches,
-                    ParkedKv::Dropped => unreachable!("model caches are never dropped"),
-                };
-                let Ok(state) = ModelKvState::adopt(caches, pool) else {
-                    panic!("resume was granted its pages");
-                };
-                Payload::Model { model, x, state }
-            }
-        };
-        InFlight {
-            id: self.id,
-            priority: self.priority,
-            prompt: self.prompt,
-            phase: self.phase,
-            out: self.out,
-            submitted: self.submitted,
-            admitted: self.admitted,
-            preemptions: self.preemptions,
-            reserved_pages: 0,
-            payload,
-        }
-    }
-}
-
-/// This tick's unit of work for one sequence.
-enum Work {
-    /// Prefill query rows `start .. start + rows` against the prompt KV.
-    Prefill { start: usize, rows: usize },
-    /// Decode token `t` (appends its K/V row, computes one decode row).
-    Decode { t: usize },
 }
 
 /// The continuous-batching serving scheduler — see the [module
@@ -601,13 +360,13 @@ pub struct Scheduler<'p, T> {
     config: ServeConfig,
     plans: Vec<AttentionPlan<'p>>,
     models: Vec<DecoderModel<'p, T>>,
-    pending: BTreeMap<u8, VecDeque<Pending<T>>>,
+    /// Per-priority queues in request-id order. Parked sequences sort
+    /// ahead of pending ones: a sequence is admitted from its queue's
+    /// head, so every admitted id precedes every id still pending.
+    queues: BTreeMap<u8, VecDeque<Seq<T>>>,
     pending_len: usize,
-    /// Resume queues: preempted sequences per priority class, kept in
-    /// request-id order (= original admission order within the class).
-    parked: BTreeMap<u8, VecDeque<Parked<T>>>,
     parked_len: usize,
-    in_flight: Vec<InFlight<T>>,
+    in_flight: Vec<Seq<T>>,
     pool: PagePool<T>,
     /// Host-side parking lot for evicted caches under
     /// [`EvictionMode::Swap`] (empty forever under `Recompute`).
@@ -651,9 +410,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
             config,
             plans: Vec::new(),
             models: Vec::new(),
-            pending: BTreeMap::new(),
+            queues: BTreeMap::new(),
             pending_len: 0,
-            parked: BTreeMap::new(),
             parked_len: 0,
             in_flight: Vec::new(),
             pool: PagePool::new(config.kv_pages, config.page_size),
@@ -820,8 +578,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
         self.arena.assert_swap_invariants();
         let mut swapped = 0usize;
         let mut swapped_bytes = 0usize;
-        for p in self.parked.values().flatten() {
-            if let Some(ticket) = p.swap_ticket() {
+        for s in self.queues.values().flatten() {
+            if let Kv::Swapped(ticket) = s.kv {
                 swapped += 1;
                 swapped_bytes += self.arena.bytes_of(ticket);
             }
@@ -849,12 +607,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
         );
         for s in &self.in_flight {
             if s.reserved_pages > 0 {
-                let held = match &s.payload {
-                    Payload::Attn { seq, .. } => self.pool.pages_held(*seq),
-                    Payload::Model { state, .. } => state.pages_held(&self.pool),
-                };
                 assert!(
-                    held <= s.reserved_pages,
+                    s.stack().pages_held(&self.pool) <= s.reserved_pages,
                     "sequence holds more pages than it reserved"
                 );
             }
@@ -866,18 +620,11 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// on a later [`Self::tick`]. No KV cache exists — and nothing is
     /// mutated — for a rejected request.
     pub fn submit(&mut self, request: ServeRequest<T>) -> Result<RequestId, ServeError> {
-        match request.pattern {
-            PatternChoice::Explicit(id) => {
-                if self.plans.get(id.0).is_none() {
-                    return Err(ServeError::UnknownPlan);
-                }
-            }
-            PatternChoice::Auto => {
-                if self.plans.is_empty() {
-                    return Err(ServeError::UnknownPlan);
-                }
-            }
-        }
+        let plan = match request.pattern {
+            PatternChoice::Explicit(id) if id.0 < self.plans.len() => id.0,
+            PatternChoice::Auto if !self.plans.is_empty() => 0,
+            _ => return Err(ServeError::UnknownPlan),
+        };
         let total = request.q.rows();
         if total == 0 {
             return Err(ServeError::BadRequest {
@@ -899,31 +646,20 @@ impl<'p, T: Real> Scheduler<'p, T> {
                 what: "key/value dimensions must be positive",
             });
         }
-        if request.prompt == 0 || request.prompt > total {
-            return Err(ServeError::BadRequest {
-                what: "prompt must cover between 1 and all of the rows",
-            });
-        }
-        let need_pages = self.pool.pages_for(total);
-        if need_pages > self.pool.total_pages() {
-            return Err(ServeError::OverCapacity {
-                need_pages,
-                total_pages: self.pool.total_pages(),
-            });
-        }
-        let priority = request.priority;
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        self.pending
-            .entry(priority)
-            .or_default()
-            .push_back(Pending {
-                id,
-                submitted: self.now,
-                request: AnyRequest::Attn(request),
-            });
-        self.pending_len += 1;
-        Ok(id)
+        let out_cols = request.v.cols();
+        let source = Source::Plan {
+            plan,
+            pattern: request.pattern,
+            k: request.k,
+            v: request.v,
+        };
+        self.enqueue_new(
+            request.priority,
+            request.prompt,
+            request.q,
+            out_cols,
+            source,
+        )
     }
 
     /// Queue a decoder-model request. Validation is immediate; admission
@@ -934,8 +670,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
         let Some(model) = self.models.get(request.model.0) else {
             return Err(ServeError::UnknownModel);
         };
-        let total = request.x.rows();
-        if total == 0 {
+        if request.x.rows() == 0 {
             return Err(ServeError::BadRequest {
                 what: "a request needs at least one token",
             });
@@ -945,70 +680,112 @@ impl<'p, T: Real> Scheduler<'p, T> {
                 what: "input width must match the model's d_model",
             });
         }
-        if request.prompt == 0 || request.prompt > total {
+        let out_cols = model.d_model();
+        let source = Source::Model(request.model.0);
+        self.enqueue_new(
+            request.priority,
+            request.prompt,
+            request.x,
+            out_cols,
+            source,
+        )
+    }
+
+    /// The checks both request kinds share — the prompt range and the
+    /// can-it-ever-fit capacity check over every layer — then queue the
+    /// new sequence.
+    fn enqueue_new(
+        &mut self,
+        priority: u8,
+        prompt: usize,
+        x: Matrix<T>,
+        out_cols: usize,
+        source: Source<T>,
+    ) -> Result<RequestId, ServeError> {
+        if prompt == 0 || prompt > x.rows() {
             return Err(ServeError::BadRequest {
                 what: "prompt must cover between 1 and all of the rows",
             });
         }
-        let need_pages = model.layers() * self.pool.pages_for(total);
+        let id = RequestId(self.next_id);
+        let s = Seq {
+            id,
+            priority,
+            prompt,
+            pos: 0,
+            submitted: self.now,
+            admitted: 0,
+            preemptions: 0,
+            reserved_pages: 0,
+            source,
+            x,
+            out: Matrix::zeros(0, out_cols),
+            kv: Kv::Empty,
+        };
+        let need_pages = self.worst_case_pages(&s);
         if need_pages > self.pool.total_pages() {
             return Err(ServeError::OverCapacity {
                 need_pages,
                 total_pages: self.pool.total_pages(),
             });
         }
-        let priority = request.priority;
-        let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.pending
-            .entry(priority)
-            .or_default()
-            .push_back(Pending {
-                id,
-                submitted: self.now,
-                request: AnyRequest::Model(request),
-            });
-        self.pending_len += 1;
+        self.enqueue(s);
         Ok(id)
     }
 
+    /// Put a pending or parked sequence on its class's queue, in id order.
+    fn enqueue(&mut self, s: Seq<T>) {
+        if s.preemptions > 0 {
+            self.parked_len += 1;
+        } else {
+            self.pending_len += 1;
+        }
+        let queue = self.queues.entry(s.priority).or_default();
+        let at = queue.partition_point(|x| x.id < s.id);
+        queue.insert(at, s);
+    }
+
     /// Drop a request — pending, parked, or in flight (releasing its KV
-    /// pages, every layer's for a model sequence). Returns false when the
-    /// id is unknown or already completed.
+    /// pages, every layer's for a model sequence, or its arena bytes).
+    /// Returns false when the id is unknown or already completed.
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        for queue in self.pending.values_mut() {
-            if let Some(pos) = queue.iter().position(|p| p.id == id) {
-                queue.remove(pos);
-                self.pending_len -= 1;
-                return true;
-            }
-        }
-        for queue in self.parked.values_mut() {
-            if let Some(pos) = queue.iter().position(|p| p.id == id) {
-                let p = queue.remove(pos).expect("position exists");
-                // A swapped victim's bytes live in the arena, not the
-                // pool: reclaim them with the ticket.
-                if let Some(ticket) = p.swap_ticket() {
-                    let _ = self.arena.take(ticket);
-                }
+        let queued = self.queues.values_mut().find_map(|queue| {
+            let pos = queue.iter().position(|s| s.id == id)?;
+            queue.remove(pos)
+        });
+        let mut s = match queued {
+            Some(s) if s.preemptions > 0 => {
                 self.parked_len -= 1;
-                return true;
+                s
             }
-        }
-        if let Some(pos) = self.in_flight.iter().position(|s| s.id == id) {
-            let s = self.in_flight.remove(pos);
-            self.reserved_pages -= s.reserved_pages;
-            match s.payload {
-                Payload::Attn { seq, .. } => {
-                    self.pool.release(seq);
-                }
-                Payload::Model { state, .. } => {
-                    state.release(&mut self.pool);
-                }
+            Some(s) => {
+                self.pending_len -= 1;
+                s
             }
-            return true;
+            None => match self.in_flight.iter().position(|s| s.id == id) {
+                Some(pos) => self.in_flight.remove(pos),
+                None => return false,
+            },
+        };
+        self.discard_kv(&mut s);
+        true
+    }
+
+    /// Free what a sequence's KV holds — its pages or its arena bytes —
+    /// and its reservation.
+    fn discard_kv(&mut self, s: &mut Seq<T>) {
+        self.reserved_pages -= s.reserved_pages;
+        s.reserved_pages = 0;
+        match std::mem::replace(&mut s.kv, Kv::Empty) {
+            Kv::Pooled(state) => {
+                state.release(&mut self.pool);
+            }
+            Kv::Swapped(ticket) => {
+                let _ = self.arena.take(ticket);
+            }
+            Kv::Empty | Kv::Inline(_) => {}
         }
-        false
     }
 
     /// Resolve a request's pattern choice to a concrete plan index — the
@@ -1037,65 +814,148 @@ impl<'p, T: Real> Scheduler<'p, T> {
         }
     }
 
-    /// Pages this sequence's work will take from the pool this tick. A
-    /// plan sequence appends one K/V row per decode step — one page when
-    /// the append crosses a page boundary, zero mid-page, zero in prefill
-    /// (its prompt pages were taken at admission). A model sequence
-    /// appends its window's rows to **every** layer's cache, chunk by
-    /// chunk, so both phases can take pages and every count is × layers.
-    fn append_need(&self, s: &InFlight<T>) -> usize {
-        match (&s.payload, s.phase) {
-            (Payload::Attn { .. }, Phase::Prefill { .. }) => 0,
-            (Payload::Attn { .. }, Phase::Decode { done }) => {
-                usize::from((s.prompt + done) % self.config.page_size == 0)
-            }
-            (Payload::Model { model, .. }, Phase::Prefill { done }) => {
-                let rows = self.config.prefill_chunk.min(s.prompt - done);
-                self.models[*model].layers()
-                    * (self.pool.pages_for(done + rows) - self.pool.pages_for(done))
-            }
-            (Payload::Model { model, .. }, Phase::Decode { done }) => {
-                self.models[*model].layers()
-                    * usize::from((s.prompt + done) % self.config.page_size == 0)
-            }
+    /// Layers in a sequence's KV stack.
+    fn layers(&self, s: &Seq<T>) -> usize {
+        match s.source {
+            Source::Plan { .. } => 1,
+            Source::Model(model) => self.models[model].layers(),
         }
     }
 
-    /// Pages a parked sequence needs to resume *and run this very tick*:
-    /// the pages of its retained tokens, plus what its first unit of work
-    /// appends in the same tick (a decode row landing on a page boundary;
-    /// a model sequence's next prefill chunk) — all × layers for models.
-    fn resume_need(&self, p: &Parked<T>) -> usize {
-        let tokens = p.retained_tokens();
-        let layers = match &p.payload {
-            ParkedPayload::Attn { .. } => 1,
-            ParkedPayload::Model { model, .. } => self.models[*model].layers(),
-        };
-        let append = match p.phase {
-            Phase::Prefill { done } => match &p.payload {
-                // A plan sequence's prompt is fully cached mid-prefill;
-                // a model sequence resumes by appending its next chunk.
-                ParkedPayload::Attn { .. } => 0,
-                ParkedPayload::Model { .. } => {
-                    let rows = self.config.prefill_chunk.min(p.prompt - done);
-                    self.pool.pages_for(done + rows) - self.pool.pages_for(done)
-                }
-            },
-            Phase::Decode { .. } if tokens % self.config.page_size == 0 => 1,
-            Phase::Decode { .. } => 0,
-        };
-        layers * (self.pool.pages_for(tokens) + append)
+    /// The plan a sequence's layer `l` runs under.
+    fn layer_plan(&self, s: &Seq<T>, l: usize) -> &AttentionPlan<'p> {
+        match s.source {
+            Source::Plan { plan, .. } => &self.plans[plan],
+            Source::Model(model) => self.models[model].plan_of(l),
+        }
     }
 
-    /// Admit eligible sequences in (priority class, resumed-then-pending,
-    /// FIFO) order until one does not fit. Fresh plan admission appends
-    /// the prompt's K/V rows to the sequence's cache; fresh model
-    /// admission allocates empty per-layer caches (the first prefill
-    /// chunk appends during this very tick's work, so its pages are
-    /// charged against headroom here). Resume re-extends a plan
-    /// sequence's retained rows — bit-identical, because K/V rows are
-    /// deterministic inputs — and re-adopts a model sequence's retained
-    /// caches whole.
+    /// Pages a sequence takes from the pool to hold its KV after its next
+    /// unit of work: `layers × pages_for(tokens cached then)`, less the
+    /// pages it holds now. The one charge behind fresh paged admission,
+    /// resume (a parked or pending sequence holds nothing) and every
+    /// tick's appends.
+    fn page_need(&self, s: &Seq<T>) -> usize {
+        let layers = self.layers(s);
+        let after = s.cached_at(s.pos + s.next_rows(self.config.prefill_chunk));
+        let held = match s.kv {
+            Kv::Pooled(_) => self.pool.pages_for(s.cached_at(s.pos)),
+            _ => 0,
+        };
+        layers * (self.pool.pages_for(after) - held)
+    }
+
+    /// Pages a sequence holds at completion — the
+    /// [`AdmissionMode::WorstCaseReserve`] charge and the submission-time
+    /// capacity check.
+    fn worst_case_pages(&self, s: &Seq<T>) -> usize {
+        self.layers(s) * self.pool.pages_for(s.total())
+    }
+
+    /// True when a sequence's next unit of work provably cannot run: a
+    /// plan of its stack pins a key count other than the tokens the
+    /// window will see, or bounds the query range below the window's end.
+    fn breaks_geometry(&self, s: &Seq<T>) -> bool {
+        let q_end = s.pos + s.next_rows(self.config.prefill_chunk);
+        let kv_rows = s.cached_at(q_end);
+        (0..self.layers(s)).any(|l| {
+            let plan = self.layer_plan(s, l);
+            plan.kv_pin().is_some_and(|pin| kv_rows != pin)
+                || plan.q_bound().is_some_and(|bound| q_end > bound)
+        })
+    }
+
+    /// Fill a plan sequence's one-layer stack with its own K/V rows up to
+    /// `to` tokens, routing their query rows too (a routed plan's cache
+    /// carries its routing). Model stacks fill inside the layer advance
+    /// instead. The caller granted the pages.
+    fn fill_own_rows(pool: &mut PagePool<T>, plans: &[AttentionPlan<'_>], s: &Seq<T>, to: usize) {
+        let Source::Plan { plan, k, v, .. } = &s.source else {
+            return;
+        };
+        let seq = s.stack().layer_seqs()[0];
+        let from = pool.cache(seq).len();
+        if from == to {
+            return;
+        }
+        // One decode row appends in place; longer ranges extend in one
+        // reservation.
+        let ok = if to == from + 1 {
+            pool.try_append(seq, k.row(from), v.row(from))
+        } else {
+            pool.try_extend(seq, &k.rows_slice(from, to), &v.rows_slice(from, to))
+        };
+        assert!(ok, "appends were granted their pages");
+        if let Some(spec) = plans[*plan].routing_spec() {
+            pool.extend_routing(seq, spec, 0, &s.x.rows_slice(from, to))
+                .expect("cache routing follows its plan's spec");
+        }
+    }
+
+    /// Map a sequence's KV stack into the pool at its cursor: re-adopt a
+    /// swapped or inline stack whole, or build a fresh one — empty for a
+    /// model, refilled with its own K/V rows for a plan. Rebuilt rows (and
+    /// their routing, a pure function of the query rows) are
+    /// bit-identical to the evicted ones. The caller granted the pages
+    /// (both eviction modes need the same count), so failure here is a
+    /// scheduler bug.
+    fn enter_pool(&mut self, s: &mut Seq<T>) {
+        let caches = match std::mem::replace(&mut s.kv, Kv::Empty) {
+            Kv::Swapped(ticket) => self.arena.take(ticket),
+            Kv::Inline(caches) => caches,
+            Kv::Empty => {
+                let state = match &s.source {
+                    Source::Plan { v, .. } => {
+                        ModelKvState::single(s.x.cols(), v.cols(), &mut self.pool)
+                    }
+                    Source::Model(model) => {
+                        ModelKvState::allocate(&self.models[*model], &mut self.pool)
+                    }
+                };
+                s.kv = Kv::Pooled(state);
+                Self::fill_own_rows(&mut self.pool, &self.plans, s, s.cached_at(s.pos));
+                return;
+            }
+            Kv::Pooled(_) => panic!("an in-flight sequence is already in the pool"),
+        };
+        let Ok(state) = ModelKvState::adopt(caches, &mut self.pool) else {
+            panic!("resume was granted its pages");
+        };
+        s.kv = Kv::Pooled(state);
+    }
+
+    /// Evict an in-flight sequence's KV from the pool. Its pages always
+    /// return to the free list and its computed output rows are kept;
+    /// under [`EvictionMode::Swap`] the stack parks in the arena, and
+    /// otherwise — or when the arena's byte cap refuses it — a plan
+    /// sequence's cache is dropped (resume rebuilds it from its own rows)
+    /// and a model sequence's computed stack is held inline. Parking
+    /// never fails.
+    fn park(&mut self, s: &mut Seq<T>) {
+        let Kv::Pooled(state) = std::mem::replace(&mut s.kv, Kv::Empty) else {
+            panic!("only in-flight sequences park");
+        };
+        let caches = state.release(&mut self.pool);
+        let caches = match self.config.eviction {
+            EvictionMode::Swap => match self.arena.try_park(caches) {
+                Ok(ticket) => {
+                    s.kv = Kv::Swapped(ticket);
+                    return;
+                }
+                Err(caches) => caches,
+            },
+            EvictionMode::Recompute => caches,
+        };
+        if let Source::Model(_) = s.source {
+            s.kv = Kv::Inline(caches);
+        }
+    }
+
+    /// Admit eligible sequences in (priority class, id) order until one
+    /// does not fit — within a class, parked sequences resume before
+    /// anything pending is admitted. A fresh sequence resolves its plan,
+    /// takes its output buffer and enters the pool at cursor 0; a resumed
+    /// one re-enters at its cursor.
     ///
     /// `append_needs` is the page count this tick's already-running
     /// appends will consume; paged admission keeps that many pages off
@@ -1108,77 +968,23 @@ impl<'p, T: Real> Scheduler<'p, T> {
             AdmissionMode::PagedUsage => self.pool.free_pages().saturating_sub(append_needs),
             AdmissionMode::WorstCaseReserve => self.pool.total_pages() - self.reserved_pages,
         };
-        let classes: Vec<u8> = {
-            let mut c: Vec<u8> = self
-                .parked
-                .keys()
-                .chain(self.pending.keys())
-                .copied()
-                .collect();
-            c.sort_unstable();
-            c.dedup();
-            c
-        };
+        let classes: Vec<u8> = self.queues.keys().copied().collect();
         'classes: for class in classes {
-            // Resume queue first: parked sequences were admitted from the
-            // head of this class's queue once, so their ids precede every
-            // id still pending — resumed-first IS global FIFO order.
-            while let Some(front) = self.parked.get(&class).and_then(|q| q.front()) {
-                if self.in_flight.len() >= self.config.max_in_flight {
-                    break 'classes;
-                }
-                let need = self.resume_need(front);
-                if need > headroom {
-                    // A parked head that cannot resume blocks all lower
-                    // admission: no overtaking a preempted sequence.
-                    break 'classes;
-                }
-                headroom -= need;
-                let p = self
-                    .parked
-                    .get_mut(&class)
-                    .expect("front exists")
-                    .pop_front()
-                    .expect("front exists");
-                self.parked_len -= 1;
-                resumed.push(p.id);
-                let spec = match &p.payload {
-                    ParkedPayload::Attn { plan, .. } => self.plans[*plan].routing_spec(),
-                    ParkedPayload::Model { .. } => None,
-                };
-                let s = p.resume(&mut self.pool, &mut self.arena, spec);
-                self.in_flight.push(s);
-            }
-            let Some(queue) = self.pending.get_mut(&class) else {
-                continue;
-            };
-            while let Some(front) = queue.front() {
+            while let Some(front) = self.queues[&class].front() {
+                let is_fresh = front.preemptions == 0;
                 if now < front.submitted + self.config.arrival_window {
-                    // Class head still batching arrivals; it does not
-                    // block other classes (FIFO within the class holds —
-                    // later same-class requests are younger still).
+                    // Class head still batching arrivals (only a pending
+                    // head can be: a parked one was admitted after its
+                    // window); it does not block other classes, and FIFO
+                    // within the class holds — later requests are younger.
                     break;
                 }
                 if self.in_flight.len() >= self.config.max_in_flight {
                     break 'classes;
                 }
-                let need = match (&front.request, self.config.admission) {
-                    (AnyRequest::Attn(r), AdmissionMode::PagedUsage) => {
-                        self.pool.pages_for(r.prompt)
-                    }
-                    (AnyRequest::Attn(r), AdmissionMode::WorstCaseReserve) => {
-                        self.pool.pages_for(r.q.rows())
-                    }
-                    (AnyRequest::Model(r), AdmissionMode::PagedUsage) => {
-                        // A fresh model sequence holds no pages yet; its
-                        // first prefill chunk appends this tick, so its
-                        // pages are charged (not taken) here.
-                        self.models[r.model.0].layers()
-                            * self.pool.pages_for(r.prompt.min(self.config.prefill_chunk))
-                    }
-                    (AnyRequest::Model(r), AdmissionMode::WorstCaseReserve) => {
-                        self.models[r.model.0].layers() * self.pool.pages_for(r.x.rows())
-                    }
+                let need = match self.config.admission {
+                    AdmissionMode::WorstCaseReserve if is_fresh => self.worst_case_pages(front),
+                    _ => self.page_need(front),
                 };
                 if need > headroom {
                     // An eligible head that cannot be placed blocks all
@@ -1187,68 +993,26 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     break 'classes;
                 }
                 headroom -= need;
-                let p = queue.pop_front().expect("front exists");
-                self.pending_len -= 1;
-                let reserved_pages = match self.config.admission {
-                    AdmissionMode::PagedUsage => 0,
-                    AdmissionMode::WorstCaseReserve => need,
-                };
-                self.reserved_pages += reserved_pages;
-                let (priority, prompt, total, out_cols, payload) = match p.request {
-                    AnyRequest::Attn(r) => {
-                        let total = r.q.rows();
-                        let plan =
-                            Self::resolve_pattern(&self.plans, &self.pool, r.pattern, r.prompt);
-                        let spec = self.plans[plan].routing_spec();
-                        let seq = self.pool.allocate(r.q.cols(), r.v.cols());
-                        let ok = self.pool.try_extend(
-                            seq,
-                            &r.k.rows_slice(0, r.prompt),
-                            &r.v.rows_slice(0, r.prompt),
-                        );
-                        assert!(ok, "admission was granted its prompt pages");
-                        if let Some(spec) = spec {
-                            self.pool
-                                .extend_routing(seq, spec, 0, &r.q.rows_slice(0, r.prompt))
-                                .expect("a fresh cache adopts its plan's routing spec");
-                        }
-                        let cols = r.v.cols();
-                        let payload = Payload::Attn {
-                            plan,
-                            pattern: r.pattern,
-                            seq,
-                            q: r.q,
-                            k: r.k,
-                            v: r.v,
-                        };
-                        (r.priority, r.prompt, total, cols, payload)
+                let queue = self.queues.get_mut(&class).expect("class exists");
+                let mut s = queue.pop_front().expect("front exists");
+                if is_fresh {
+                    self.pending_len -= 1;
+                    if let Source::Plan { plan, pattern, .. } = &mut s.source {
+                        *plan = Self::resolve_pattern(&self.plans, &self.pool, *pattern, s.prompt);
                     }
-                    AnyRequest::Model(r) => {
-                        let model = &self.models[r.model.0];
-                        let state = ModelKvState::allocate(model, &mut self.pool);
-                        let total = r.x.rows();
-                        let cols = model.d_model();
-                        let payload = Payload::Model {
-                            model: r.model.0,
-                            x: r.x,
-                            state,
-                        };
-                        (r.priority, r.prompt, total, cols, payload)
+                    s.admitted = now;
+                    s.out = Matrix::zeros(s.total(), s.out.cols());
+                    if self.config.admission == AdmissionMode::WorstCaseReserve {
+                        s.reserved_pages = need;
+                        self.reserved_pages += need;
                     }
-                };
-                self.in_flight.push(InFlight {
-                    id: p.id,
-                    priority,
-                    prompt,
-                    phase: Phase::Prefill { done: 0 },
-                    out: Matrix::zeros(total, out_cols),
-                    submitted: p.submitted,
-                    admitted: now,
-                    preemptions: 0,
-                    reserved_pages,
-                    payload,
-                });
-                fresh.push(p.id);
+                    fresh.push(s.id);
+                } else {
+                    self.parked_len -= 1;
+                    resumed.push(s.id);
+                }
+                self.enter_pool(&mut s);
+                self.in_flight.push(s);
             }
         }
         (fresh, resumed)
@@ -1262,26 +1026,27 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// sequences.
     ///
     /// On a launch failure the tick is rolled back atomically — appends
-    /// truncated (pages returned), victims rebuilt in place, admissions
+    /// truncated (pages returned), victims resumed in place, admissions
     /// un-admitted, no cursor or clock movement — and the returned error
     /// names the offending request when identifiable; see the [module
     /// docs](self).
     pub fn tick(&mut self) -> Result<TickReport<T>, ServeError> {
         let now = self.now;
+        let chunk = self.config.prefill_chunk;
 
         // Pages this tick's appends will consume, counted before
         // admission so newcomers cannot take them. Because of this guard,
         // a tick admits or preempts, never both — which is what lets the
         // rollback below restore victims at their exact positions.
-        let pre_needs: usize = self.in_flight.iter().map(|s| self.append_need(s)).sum();
+        let pre_needs: usize = self.in_flight.iter().map(|s| self.page_need(s)).sum();
         let (admitted, resumed) = self.admit(now, pre_needs);
 
         // Preemption resolution: when the appends still outstrip the free
         // pages (growth of previously admitted sequences, not admission),
         // grant appends from most urgent to least, evicting from the
         // opposite end.
-        let needs: Vec<usize> = self.in_flight.iter().map(|s| self.append_need(s)).collect();
-        let mut staged: Vec<(usize, Parked<T>)> = Vec::new();
+        let needs: Vec<usize> = self.in_flight.iter().map(|s| self.page_need(s)).collect();
+        let mut staged: Vec<(usize, Seq<T>)> = Vec::new();
         let mut preempted: Vec<RequestId> = Vec::new();
         if needs.iter().sum::<usize>() > self.pool.free_pages() {
             debug_assert!(
@@ -1305,10 +1070,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     hi -= 1;
                     let v = urgency[hi];
                     victim[v] = true;
-                    available += match &self.in_flight[v].payload {
-                        Payload::Attn { seq, .. } => self.pool.pages_held(*seq),
-                        Payload::Model { state, .. } => state.pages_held(&self.pool),
-                    };
+                    available += self.in_flight[v].stack().pages_held(&self.pool);
                 }
                 if need <= available {
                     available -= need;
@@ -1325,15 +1087,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
             }
             for i in (0..self.in_flight.len()).rev() {
                 if victim[i] {
-                    let s = self.in_flight.remove(i);
-                    staged.push((
-                        i,
-                        s.park(&mut self.pool, &mut self.arena, self.config.eviction),
-                    ));
+                    let mut s = self.in_flight.remove(i);
+                    self.park(&mut s);
+                    staged.push((i, s));
                 }
             }
             staged.reverse(); // ascending original index, for restore
-            preempted = staged.iter().map(|(_, p)| p.id).collect();
+            preempted = staged.iter().map(|(_, s)| s.id).collect();
         }
 
         // Pre-append cache lengths of every surviving sequence — the
@@ -1341,277 +1101,124 @@ impl<'p, T: Real> Scheduler<'p, T> {
         let priors: Vec<usize> = self
             .in_flight
             .iter()
-            .map(|s| match &s.payload {
-                Payload::Attn { seq, .. } => self.pool.cache(*seq).len(),
-                Payload::Model { state, .. } => state.tokens(&self.pool),
-            })
+            .map(|s| s.stack().tokens(&self.pool))
             .collect();
 
-        // One unit of work per in-flight sequence; plan-sequence decode
-        // work appends its token's K/V row now (rolled back on failure),
-        // while model sequences append inside the layer advance below.
-        // Every append was granted its page above, so allocation cannot
-        // fail.
-        let work: Vec<(usize, Work)> = self
+        // Plan sequences append their own K/V rows for this tick's work
+        // now (a decode row; a prefill chunk's rows are cached already);
+        // model sequences append inside the layer advance below. Every
+        // append was granted its pages above.
+        for s in &self.in_flight {
+            let to = s.cached_at(s.pos + s.next_rows(chunk));
+            Self::fill_own_rows(&mut self.pool, &self.plans, s, to);
+        }
+
+        // One launch group per plan and per model (BTreeMap keyed
+        // (is model, index): deterministic launch order, plans first).
+        let mut groups: BTreeMap<(bool, usize), Vec<usize>> = BTreeMap::new();
+        for (i, s) in self.in_flight.iter().enumerate() {
+            let key = match s.source {
+                Source::Plan { plan, .. } => (false, plan),
+                Source::Model(model) => (true, model),
+            };
+            groups.entry(key).or_default().push(i);
+        }
+        let windows: Vec<Matrix<T>> = self
             .in_flight
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let w = match s.phase {
-                    Phase::Prefill { done } => Work::Prefill {
-                        start: done,
-                        rows: self.config.prefill_chunk.min(s.prompt - done),
-                    },
-                    Phase::Decode { done } => Work::Decode { t: s.prompt + done },
-                };
-                (i, w)
-            })
+            .map(|s| s.x.rows_slice(s.pos, s.pos + s.next_rows(chunk)))
             .collect();
-        for (i, w) in &work {
-            if let Work::Decode { t } = w {
-                if let Payload::Attn {
-                    plan, seq, q, k, v, ..
-                } = &self.in_flight[*i].payload
-                {
-                    let ok = self.pool.try_append(*seq, k.row(*t), v.row(*t));
-                    assert!(ok, "decode appends were granted pages at tick start");
-                    // A routed plan's cache carries its routing: the new
-                    // token joins its group now, so the decode row below
-                    // sees a routing that covers its query position.
-                    if let Some(spec) = self.plans[*plan].routing_spec() {
-                        self.pool
-                            .extend_routing(*seq, spec, 0, &q.rows_slice(*t, *t + 1))
-                            .expect("cache routing follows its plan's spec");
-                    }
-                }
-            }
-        }
-
-        // Group plan sequences by plan and model sequences by model
-        // (BTreeMaps: deterministic launch order, plans before models).
-        let mut plan_groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut model_groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (wi, (i, _)) in work.iter().enumerate() {
-            match &self.in_flight[*i].payload {
-                Payload::Attn { plan, .. } => plan_groups.entry(*plan).or_default().push(wi),
-                Payload::Model { model, .. } => model_groups.entry(*model).or_default().push(wi),
-            }
-        }
-        let windows: Vec<Matrix<T>> = work
-            .iter()
-            .map(|(i, w)| {
-                let src = match &self.in_flight[*i].payload {
-                    Payload::Attn { q, .. } => q,
-                    Payload::Model { x, .. } => x,
-                };
-                match *w {
-                    Work::Prefill { start, rows } => src.rows_slice(start, start + rows),
-                    Work::Decode { t } => src.rows_slice(t, t + 1),
-                }
-            })
-            .collect();
-        let mut outputs: Vec<Option<Matrix<T>>> = (0..work.len()).map(|_| None).collect();
+        let mut outputs: Vec<Option<Matrix<T>>> = (0..windows.len()).map(|_| None).collect();
         let mut rows_computed = 0usize;
         let mut launches = 0usize;
         let mut failure: Option<(Option<RequestId>, AttnError)> = None;
-        for (plan_idx, items) in &plan_groups {
-            let requests: Vec<AttentionRequest<'_, T>> = items
-                .iter()
-                .map(|&wi| {
-                    let (i, w) = &work[wi];
-                    let Payload::Attn { seq, .. } = &self.in_flight[*i].payload else {
-                        unreachable!("plan groups hold plan sequences");
-                    };
-                    let cache = self.pool.cache(*seq);
-                    // Static plans ignore an attached routing; routed
-                    // plans require the one their cache carries.
-                    match *w {
-                        Work::Prefill { start, .. } => {
-                            AttentionRequest::windowed(&windows[wi], cache.k(0), cache.v(0), start)
-                                .with_routing(cache.routing(0))
-                        }
-                        Work::Decode { .. } => {
-                            AttentionRequest::decode(&windows[wi], cache.k(0), cache.v(0))
-                                .with_routing(cache.routing(0))
-                        }
-                    }
-                })
-                .collect();
-            match self.engine.run_batch(&self.plans[*plan_idx], &requests) {
-                Ok(outs) => {
-                    launches += 1;
-                    rows_computed += outs.iter().map(Matrix::rows).sum::<usize>();
-                    for (&wi, out) in items.iter().zip(outs) {
-                        outputs[wi] = Some(out);
+        for (&(is_model, index), items) in &groups {
+            let result = if is_model {
+                let work: Vec<ModelWorkItem<'_, T>> = items
+                    .iter()
+                    .map(|&i| ModelWorkItem {
+                        x: &windows[i],
+                        state: self.in_flight[i].stack(),
+                    })
+                    .collect();
+                // The layer advance rolls its own appends back. Page
+                // grants and item validation happened above, so only a
+                // kernel-geometry failure can reach the error arm.
+                match self.models[index].advance_batched(&self.engine, &mut self.pool, &work) {
+                    Ok(adv) => Ok((adv.launches, adv.rows, adv.outputs)),
+                    Err(ModelError::Attn(e)) => Err(e),
+                    Err(other) => panic!("model advance was granted pages and validated: {other}"),
+                }
+            } else {
+                let requests: Vec<AttentionRequest<'_, T>> = items
+                    .iter()
+                    .map(|&i| {
+                        let s = &self.in_flight[i];
+                        let cache = self.pool.cache(s.stack().layer_seqs()[0]);
+                        // Static plans ignore an attached routing; routed
+                        // plans require the one their cache carries.
+                        AttentionRequest::windowed(&windows[i], cache.k(0), cache.v(0), s.pos)
+                            .with_routing(cache.routing(0))
+                    })
+                    .collect();
+                self.engine
+                    .run_batch(&self.plans[index], &requests)
+                    .map(|outs| (1, outs.iter().map(Matrix::rows).sum(), outs))
+            };
+            match result {
+                Ok((group_launches, rows, outs)) => {
+                    launches += group_launches;
+                    rows_computed += rows;
+                    for (&i, out) in items.iter().zip(outs) {
+                        outputs[i] = Some(out);
                     }
                 }
                 Err(e) => {
-                    // The engine reports one error per batch; re-check
-                    // the failed group's geometries against the plan's
-                    // compiled constraints to name the offender, so
-                    // callers can cancel it and recover.
-                    let offender = items.iter().find_map(|&wi| {
-                        let (i, w) = &work[wi];
-                        let s = &self.in_flight[*i];
-                        let plan = &self.plans[*plan_idx];
-                        let (kv_rows, q_end) = match *w {
-                            Work::Prefill { start, rows } => (s.prompt, start + rows),
-                            Work::Decode { t } => (t + 1, t + 1),
-                        };
-                        let pinned_wrong = plan.kv_pin().is_some_and(|pin| kv_rows != pin);
-                        let out_of_bound = plan.q_bound().is_some_and(|bound| q_end > bound);
-                        (pinned_wrong || out_of_bound).then_some(s.id)
-                    });
+                    // The engine reports one error per batch; re-check the
+                    // failed group's geometries against its compiled
+                    // constraints to name the offender, so callers can
+                    // cancel it and recover.
+                    let offender = items
+                        .iter()
+                        .map(|&i| &self.in_flight[i])
+                        .find(|s| self.breaks_geometry(s))
+                        .map(|s| s.id);
                     failure = Some((offender, e));
                     break;
                 }
             }
         }
-        if failure.is_none() {
-            for (model_idx, wis) in &model_groups {
-                let items: Vec<ModelWorkItem<'_, T>> = wis
-                    .iter()
-                    .map(|&wi| {
-                        let (i, _) = &work[wi];
-                        let Payload::Model { state, .. } = &self.in_flight[*i].payload else {
-                            unreachable!("model groups hold model sequences");
-                        };
-                        ModelWorkItem {
-                            x: &windows[wi],
-                            state,
-                        }
-                    })
-                    .collect();
-                match self.models[*model_idx].advance_batched(&self.engine, &mut self.pool, &items)
-                {
-                    Ok(adv) => {
-                        launches += adv.launches;
-                        rows_computed += adv.rows;
-                        for (&wi, out) in wis.iter().zip(adv.outputs) {
-                            outputs[wi] = Some(out);
-                        }
-                    }
-                    Err(err) => {
-                        // The layer advance already rolled its own
-                        // appends back. Page grants and item validation
-                        // happened above, so only a kernel-geometry
-                        // failure can reach here.
-                        let e = match err {
-                            ModelError::Attn(e) => e,
-                            other => {
-                                panic!("model advance was granted pages and validated: {other}")
-                            }
-                        };
-                        let offender = wis.iter().find_map(|&wi| {
-                            let (i, w) = &work[wi];
-                            let s = &self.in_flight[*i];
-                            let m = &self.models[*model_idx];
-                            // A model's caches hold exactly the advanced
-                            // window's end, in every layer.
-                            let (kv_rows, q_end) = match *w {
-                                Work::Prefill { start, rows } => (start + rows, start + rows),
-                                Work::Decode { t } => (t + 1, t + 1),
-                            };
-                            let bad = (0..m.layers()).any(|l| {
-                                let plan = m.plan_of(l);
-                                plan.kv_pin().is_some_and(|pin| kv_rows != pin)
-                                    || plan.q_bound().is_some_and(|bound| q_end > bound)
-                            });
-                            bad.then_some(s.id)
-                        });
-                        failure = Some((offender, e));
-                        break;
-                    }
-                }
-            }
-        }
         if let Some((offender, e)) = failure {
-            // Atomic rollback, part 1: every surviving sequence's cache
-            // (every layer's, for models) back to its pre-append length,
-            // returning this tick's granted pages; no cursor or clock
-            // movement.
+            // Atomic rollback, part 1: every layer of every surviving
+            // sequence's stack back to its pre-append length, returning
+            // this tick's granted pages; no cursor or clock movement.
             for (s, &prior) in self.in_flight.iter().zip(&priors) {
-                match &s.payload {
-                    Payload::Attn { seq, .. } => self.pool.truncate(*seq, prior),
-                    Payload::Model { state, .. } => state.truncate(&mut self.pool, prior),
-                }
+                s.stack().truncate(&mut self.pool, prior);
             }
-            // Part 2a: un-preempt this tick's victims — rebuild each one
+            // Part 2a: un-preempt this tick's victims — resume each one
             // at its exact former position. Page conservation covers the
             // restores: the survivors' truncation returned every page the
             // grants took, and those grants were funded by the victims'
             // own releases.
-            for (index, p) in staged {
-                let spec = match &p.payload {
-                    ParkedPayload::Attn { plan, .. } => self.plans[*plan].routing_spec(),
-                    ParkedPayload::Model { .. } => None,
-                };
-                let s = p.resume(&mut self.pool, &mut self.arena, spec);
+            for (index, mut s) in staged {
+                self.enter_pool(&mut s);
                 self.in_flight.insert(index, s);
             }
-            // Part 2b: un-admit this tick's admissions — release their
-            // pages and push them back to their queue fronts (popping
-            // from the in-flight tail and pushing front restores FIFO
-            // order; resumed sequences go back to their resume queue in
-            // id order), so a failed tick leaves NO trace.
+            // Part 2b: un-admit this tick's admissions — pop them from the
+            // in-flight tail and queue them again in id order, so a failed
+            // tick leaves NO trace. A resumed sequence re-parks with the
+            // configured mode (under Swap, its resume just freed exactly
+            // these arena bytes, so it parks as it was parked before); a
+            // fresh one releases everything and goes back with its
+            // original pattern choice.
             for _ in 0..admitted.len() + resumed.len() {
-                let s = self.in_flight.pop().expect("admissions sit at the tail");
-                self.reserved_pages -= s.reserved_pages;
+                let mut s = self.in_flight.pop().expect("admissions sit at the tail");
                 if s.preemptions > 0 {
-                    // Re-park with the configured mode: under Swap, the
-                    // resume above just freed exactly these arena bytes,
-                    // so the stack re-parks (or falls back) exactly as it
-                    // was parked before this failed tick.
-                    let p = s.park(&mut self.pool, &mut self.arena, self.config.eviction);
-                    let queue = self.parked.entry(p.priority).or_default();
-                    let at = queue.partition_point(|x| x.id < p.id);
-                    queue.insert(at, p);
-                    self.parked_len += 1;
+                    self.park(&mut s);
                 } else {
-                    let (id, submitted, priority, prompt) =
-                        (s.id, s.submitted, s.priority, s.prompt);
-                    let request = match s.payload {
-                        Payload::Attn {
-                            pattern,
-                            seq,
-                            q,
-                            k,
-                            v,
-                            ..
-                        } => {
-                            self.pool.release(seq);
-                            // Back to the queue with its original choice:
-                            // an Auto request re-resolves at its real
-                            // admission, under that tick's page pressure.
-                            AnyRequest::Attn(ServeRequest {
-                                pattern,
-                                priority,
-                                prompt,
-                                q,
-                                k,
-                                v,
-                            })
-                        }
-                        Payload::Model { model, x, state } => {
-                            state.release(&mut self.pool);
-                            AnyRequest::Model(ModelRequest {
-                                model: ModelId(model),
-                                priority,
-                                prompt,
-                                x,
-                            })
-                        }
-                    };
-                    self.pending
-                        .entry(priority)
-                        .or_default()
-                        .push_front(Pending {
-                            id,
-                            submitted,
-                            request,
-                        });
-                    self.pending_len += 1;
+                    self.discard_kv(&mut s);
                 }
+                self.enqueue(s);
             }
             return Err(ServeError::Launch {
                 request: offender,
@@ -1620,28 +1227,12 @@ impl<'p, T: Real> Scheduler<'p, T> {
         }
 
         // Apply outputs and advance each sequence's cursor.
-        for ((i, w), out) in work.iter().zip(outputs) {
+        for (s, out) in self.in_flight.iter_mut().zip(outputs) {
             let out = out.expect("all launches succeeded");
-            let s = &mut self.in_flight[*i];
-            match *w {
-                Work::Prefill { start, rows } => {
-                    for r in 0..rows {
-                        s.out.row_mut(start + r).copy_from_slice(out.row(r));
-                    }
-                    let done = start + rows;
-                    s.phase = if done == s.prompt {
-                        Phase::Decode { done: 0 }
-                    } else {
-                        Phase::Prefill { done }
-                    };
-                }
-                Work::Decode { t } => {
-                    s.out.row_mut(t).copy_from_slice(out.row(0));
-                    s.phase = Phase::Decode {
-                        done: t + 1 - s.prompt,
-                    };
-                }
+            for r in 0..out.rows() {
+                s.out.row_mut(s.pos + r).copy_from_slice(out.row(r));
             }
+            s.pos += out.rows();
         }
 
         // Retire completed sequences (in in-flight — i.e. admission —
@@ -1649,22 +1240,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
         let mut completed = Vec::new();
         let mut i = 0;
         while i < self.in_flight.len() {
-            if self.in_flight[i].is_complete() {
-                let s = self.in_flight.remove(i);
-                self.reserved_pages -= s.reserved_pages;
-                let target = s.target();
-                match s.payload {
-                    Payload::Attn { seq, .. } => {
-                        self.pool.release(seq);
-                    }
-                    Payload::Model { state, .. } => {
-                        state.release(&mut self.pool);
-                    }
-                }
+            if self.in_flight[i].pos == self.in_flight[i].total() {
+                let mut s = self.in_flight.remove(i);
+                self.discard_kv(&mut s);
                 completed.push(Completion {
                     id: s.id,
                     priority: s.priority,
-                    target,
+                    target: s.target(),
                     output: s.out,
                     submitted: s.submitted,
                     admitted: s.admitted,
@@ -1676,18 +1258,15 @@ impl<'p, T: Real> Scheduler<'p, T> {
             }
         }
 
-        // Commit this tick's preemptions: victims move to their resume
+        // Commit this tick's preemptions: victims move to their class
         // queues (id order = original admission order within the class).
-        for (_, mut p) in staged {
-            p.preemptions += 1;
+        for (_, mut s) in staged {
+            s.preemptions += 1;
             self.preemption_events += 1;
-            if self.config.eviction == EvictionMode::Swap && !p.is_swapped() {
+            if self.config.eviction == EvictionMode::Swap && !matches!(s.kv, Kv::Swapped(_)) {
                 self.swap_fallbacks += 1;
             }
-            let queue = self.parked.entry(p.priority).or_default();
-            let at = queue.partition_point(|x| x.id < p.id);
-            queue.insert(at, p);
-            self.parked_len += 1;
+            self.enqueue(s);
         }
 
         self.now += 1;

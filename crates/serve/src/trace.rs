@@ -196,28 +196,7 @@ pub fn replay<T: Real>(
     trace: &[TraceEvent<T>],
     max_ticks: u64,
 ) -> Result<Vec<Completion<T>>, ServeError> {
-    assert!(
-        trace.windows(2).all(|w| w[0].at <= w[1].at),
-        "trace events must be sorted by arrival tick"
-    );
-    let mut completions = Vec::new();
-    let mut next = 0usize;
-    let mut ticks = 0u64;
-    while next < trace.len() || !scheduler.is_idle() {
-        while next < trace.len() && trace[next].at <= scheduler.now() {
-            scheduler.submit(trace[next].request.clone())?;
-            next += 1;
-        }
-        completions.extend(scheduler.tick()?.completed);
-        ticks += 1;
-        if ticks > max_ticks {
-            return Err(ServeError::NotDrained {
-                ticks,
-                outstanding: (trace.len() - next) + scheduler.outstanding(),
-            });
-        }
-    }
-    Ok(completions)
+    replay_mixed(scheduler, trace, &[], max_ticks)
 }
 
 /// Drive `scheduler` through plan and decoder-model traces merged on one

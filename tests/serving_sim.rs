@@ -21,9 +21,10 @@
 //!    order inside a class, and equal-shape same-class sequences complete
 //!    in submission order, preemption or not;
 //! 5. **Atomic rollback** — a failed batched launch rolls every
-//!    sequence's cache and page table back and leaves the scheduler in a
-//!    state that still serves bitwise-correct outputs once the offender
-//!    is cancelled (separate test below).
+//!    sequence's cache and page table back, un-preempts and un-admits
+//!    what the tick moved, and leaves the scheduler in a state that still
+//!    serves bitwise-correct outputs once the offender is cancelled
+//!    (separate tests below).
 //!
 //! The trace count of the headline loop defaults to 52 and can be raised
 //! via `GPA_SIM_TRACES` (the nightly CI job runs 200).
